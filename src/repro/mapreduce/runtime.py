@@ -250,16 +250,17 @@ class EclipseMRRuntime:
             combiner=job.combiner if job.cross_spill_combine else None,
         )
         fail_pending = self.failure_injector.should_fail(job.app_id, desc.index)
-        produced = 0
-        for key, value in job.map_fn(data):
-            spill.emit(key, value)
-            produced += 1
-            # Fail mid-stream: some spills may already be pushed; the retry
-            # must overwrite them, not duplicate them.
-            if fail_pending and produced >= 1:
-                raise _InjectedTaskFailure()
+        emit = spill.emit
+        pairs = job.map_fn(data)
         if fail_pending:
+            # Fail mid-stream, after the first emit: some spills may already
+            # be pushed; the retry must overwrite them, not duplicate them.
+            for key, value in pairs:
+                emit(key, value)
+                break
             raise _InjectedTaskFailure()
+        for key, value in pairs:
+            emit(key, value)
         spill.flush()
         stats.spills += spill.spills
         stats.spill_recombines += spill.recombines

@@ -24,6 +24,12 @@ from repro.common.hashing import HashSpace
 
 __all__ = ["combine_pairs", "SpillBuffer", "IntermediateStore"]
 
+# Exact classes whose equal values have equal ``repr`` and equal pickles,
+# so a pair's destination and size can be reused for any equal pair.  Not
+# ``bool`` (``True == 1``), ``float`` (``0.0 == -0.0``; NaN), tuples
+# (``(1,) == (True,)``) or any subclass (its own ``__repr__``).
+_MEMOIZABLE = frozenset({str, bytes, int, type(None)})
+
 
 def combine_pairs(combiner, pairs: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
     """Apply a job's combiner to one spill's pairs (in-node combining).
@@ -179,6 +185,10 @@ class SpillBuffer:
         self._sizes: dict[Hashable, int] = defaultdict(int)
         self._spill_seq: dict[Hashable, int] = defaultdict(int)
         self._manifest: list[tuple[Hashable, str, int]] = []
+        # (key, value) -> (dest, pair size), for _MEMOIZABLE pairs only.
+        # Scoped to this buffer (one map-task attempt), so a ring change
+        # between tasks never serves a stale destination.
+        self._memo: dict[tuple[Any, Any], tuple[Hashable, int]] = {}
         self.spills = 0
         self.spills_skipped = 0
         self.recombines = 0
@@ -200,11 +210,24 @@ class SpillBuffer:
         spills if it *stays* full -- otherwise the (now smaller) combined
         buffer keeps accumulating, amortizing the combine across many
         emits.
+
+        A pair of scalar (``_MEMOIZABLE``) key and value is routed and
+        sized once per distinct pair in this buffer; repeats reuse the
+        memoized ``(dest, size)``.  Accounting is unchanged: the reused
+        size is exactly what ``pair_size`` returned for an equal pair.
         """
-        dest = self.route(self.key_of(key))
-        self._buffers[dest].append((key, value))
-        self._sizes[dest] += self.pair_size(key, value)
-        if self._sizes[dest] >= self.threshold:
+        pair = (key, value)
+        memoizable = key.__class__ in _MEMOIZABLE and value.__class__ in _MEMOIZABLE
+        routed = self._memo.get(pair) if memoizable else None
+        if routed is None:
+            routed = (self.route(self.key_of(key)), self.pair_size(key, value))
+            if memoizable:
+                self._memo[pair] = routed
+        dest, size = routed
+        self._buffers[dest].append(pair)
+        size += self._sizes[dest]
+        self._sizes[dest] = size
+        if size >= self.threshold:
             if self.combiner is not None and self._recombine(dest):
                 return
             self._spill(dest)
@@ -214,9 +237,23 @@ class SpillBuffer:
         buffer dropped back under the threshold (no spill needed yet)."""
         combined = combine_pairs(self.combiner, self._buffers[dest])
         self._buffers[dest] = combined
-        self._sizes[dest] = sum(self.pair_size(k, v) for k, v in combined)
+        # Every combined key is one of this buffer's keys, so it routes to
+        # ``dest``: a memo miss here needs only the size.
+        memo = self._memo
+        nbytes = 0
+        for pair in combined:
+            key, value = pair
+            if key.__class__ in _MEMOIZABLE and value.__class__ in _MEMOIZABLE:
+                routed = memo.get(pair)
+                if routed is None:
+                    routed = memo[pair] = (dest, self.pair_size(key, value))
+                nbytes += routed[1]
+            else:
+                nbytes += self.pair_size(key, value)
+        self._sizes[dest] = nbytes
         self.recombines += 1
-        return self._sizes[dest] < self.threshold
+        return nbytes < self.threshold
+
     def _spill(self, dest: Hashable) -> None:
         pairs = self._buffers.pop(dest, [])
         nbytes = self._sizes.pop(dest, 0)

@@ -119,6 +119,48 @@ class TestSpillBuffer:
     def test_pair_size_positive(self):
         assert SpillBuffer.pair_size("key", [1, 2, 3]) > 0
 
+    @pytest.mark.parametrize("make_key, memoized", [
+        (lambda i: f"w{i}", True),
+        (lambda i: i, True),
+        (lambda i: float(i), False),   # 0.0 == -0.0 but reprs differ
+        (lambda i: (i,), False),       # (1,) == (True,)
+    ])
+    @pytest.mark.parametrize("cross_spill", [False, True])
+    def test_emit_routes_and_sizes_each_distinct_pair_once(
+            self, monkeypatch, make_key, memoized, cross_spill):
+        """N pairs over D distinct keys: hashing, routing and sizing run D
+        times for exact-scalar pairs, N times for anything else.  The
+        cross-spill combiner's recombines add sizing but no routing."""
+        n, d = 300, 7
+
+        class CountingSpace(HashSpace):
+            __slots__ = ("calls",)
+
+            def key_of(self, name):
+                self.calls += 1
+                return super().key_of(name)
+
+        space = CountingSpace(1000)
+        space.calls = 0
+        routed = []
+        sized = []
+        pair_size = SpillBuffer.pair_size
+        monkeypatch.setattr(SpillBuffer, "pair_size", staticmethod(
+            lambda k, v: sized.append(k) or pair_size(k, v)))
+        buf = SpillBuffer(space, route=lambda hk: routed.append(hk) or hk % 3,
+                          deliver=lambda *spill: None, threshold_bytes=64,
+                          task_id="t0",
+                          combiner=(lambda k, vs: [sum(vs)]) if cross_spill else None)
+        for i in range(n):
+            buf.emit(make_key(i % d), 1)
+        buf.flush()
+        expected = d if memoized else n
+        assert space.calls == len(routed) == expected
+        if cross_spill:
+            assert buf.recombines > 0
+        else:
+            assert len(sized) == expected
+
 
 class TestIntermediateStore:
     def test_receive_and_collect(self):
